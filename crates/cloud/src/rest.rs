@@ -307,24 +307,26 @@ async fn handle_request(
                 h.sleep(marshal_cpu(request.body.len())).await;
                 marshal_span.finish();
                 let body_text = String::from_utf8_lossy(&request.body).into_owned();
-                match json::decode(&body_text) {
-                    Ok(item) => {
-                        let value = item
-                            .get("value")
-                            .and_then(Value::as_str)
-                            .and_then(json::base64_decode)
-                            .unwrap_or_default();
-                        // DynamoDB-style durable write (majority).
-                        client
-                            .put(
-                                id,
-                                Bytes::from(value),
-                                Mutability::Mutable,
-                                Consistency::Linearizable,
-                            )
-                            .await
-                            .map(|_| Response::new(200).with_body(&b"{\"ok\":true}"[..]))
-                    }
+                let value = json::decode(&body_text).map(|item| {
+                    item.get("value")
+                        .and_then(Value::as_str)
+                        .and_then(json::base64_decode)
+                });
+                match value {
+                    // DynamoDB-style durable write (majority).
+                    Ok(Some(value)) => client
+                        .put(
+                            id,
+                            Bytes::from(value),
+                            Mutability::Mutable,
+                            Consistency::Linearizable,
+                        )
+                        .await
+                        .map(|_| Response::new(200).with_body(&b"{\"ok\":true}"[..])),
+                    Ok(None) => Ok(Response::new(400).with_body(error_json(
+                        "BadJson",
+                        "item needs a base64url string \"value\"",
+                    ))),
                     Err(e) => {
                         Ok(Response::new(400).with_body(error_json("BadJson", &e.to_string())))
                     }
@@ -663,6 +665,33 @@ mod tests {
             elapsed > Duration::from_micros(500),
             "REST GET took only {elapsed:?}"
         );
+    }
+
+    #[test]
+    fn malformed_kv_items_are_rejected_and_store_nothing() {
+        let mut sim = Sim::new(11);
+        let (gw, _) = deploy(&sim);
+        sim.block_on(async move {
+            let c = gw.client(NodeId(0), Credentials::new("AK1", b"secret1".to_vec()));
+            c.kv_put("t", "k", b"original").await.unwrap();
+            for body in [
+                r#"{"other":"b3JpZ2luYWw"}"#,
+                r#"{"value":42}"#,
+                r#"{"value":"not base64!"}"#,
+            ] {
+                let req = Request::new(Method::Put, "/kv/t/k").with_body(body.as_bytes().to_vec());
+                match c.send(req).await {
+                    Err(RestError::Http {
+                        status: 400,
+                        body: err,
+                    }) => {
+                        assert!(err.contains("BadJson"), "{body}: {err}")
+                    }
+                    other => panic!("{body}: expected 400 BadJson, got {other:?}"),
+                }
+                assert_eq!(c.kv_get("t", "k").await.unwrap(), b"original", "{body}");
+            }
+        });
     }
 
     #[test]

@@ -5,6 +5,19 @@
 //! hashing is part of the statelessness cost the paper calls out. The
 //! implementation follows FIPS 180-4 / RFC 2104 and is verified against
 //! published test vectors in the unit tests.
+//!
+//! # Compression dispatch
+//!
+//! All block hashing goes through one function pointer, chosen once per
+//! process. On x86-64 CPUs whose `is_x86_feature_detected!` reports
+//! `sha`, `sse2`, `ssse3` and `sse4.1`, it is the SHA-NI kernel in
+//! `shani`; everywhere else it is the portable loop
+//! `compress_blocks_portable`. The two produce identical digests (the
+//! unit tests run the portable loop on the published vectors, and a
+//! property test compares the two paths on random input), so host speed
+//! never changes a signature, a wire byte or a virtual-time result.
+//! There is no setting that picks a path: [`Sha256::portable`] exists
+//! only so tests can cross-check the kernel.
 
 /// Output size of SHA-256 in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -27,6 +40,21 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
+/// Compresses whole 64-byte blocks of `data` into `state`.
+type CompressFn = fn(&mut [u32; 8], &[u8]);
+
+/// The fastest compressor this CPU supports, detected on first use.
+fn compress_dispatched() -> CompressFn {
+    static CHOSEN: std::sync::OnceLock<CompressFn> = std::sync::OnceLock::new();
+    *CHOSEN.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(kernel) = shani::detect() {
+            return kernel;
+        }
+        compress_blocks_portable
+    })
+}
+
 /// Incremental SHA-256 hasher.
 ///
 /// # Examples
@@ -47,6 +75,7 @@ pub struct Sha256 {
     buffer: [u8; 64],
     buffer_len: usize,
     total_len: u64,
+    compress: CompressFn,
 }
 
 impl Default for Sha256 {
@@ -58,11 +87,24 @@ impl Default for Sha256 {
 impl Sha256 {
     /// Creates a fresh hasher.
     pub fn new() -> Self {
+        Self::with_compressor(compress_dispatched())
+    }
+
+    /// Creates a hasher that always uses the portable compressor,
+    /// whatever the CPU supports. Its digests equal those of
+    /// [`Sha256::new`]; it exists so tests can check the accelerated
+    /// path against the portable one on the same machine.
+    pub fn portable() -> Self {
+        Self::with_compressor(compress_blocks_portable)
+    }
+
+    fn with_compressor(compress: CompressFn) -> Self {
         Sha256 {
             state: H0,
             buffer: [0; 64],
             buffer_len: 0,
             total_len: 0,
+            compress,
         }
     }
 
@@ -82,47 +124,47 @@ impl Sha256 {
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&rest[..take]);
             self.buffer_len += take;
             rest = &rest[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
+            if self.buffer_len < 64 {
+                return;
             }
+            (self.compress)(&mut self.state, &self.buffer);
+            self.buffer_len = 0;
         }
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            rest = tail;
+        let (blocks, tail) = rest.split_at(rest.len() - rest.len() % 64);
+        if !blocks.is_empty() {
+            (self.compress)(&mut self.state, blocks);
         }
-        if !rest.is_empty() {
-            self.buffer[..rest.len()].copy_from_slice(rest);
-            self.buffer_len = rest.len();
-        }
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffer_len = tail.len();
     }
 
     /// Completes the hash and returns the digest.
     pub fn finalize(mut self) -> Digest {
-        let bit_len = self.total_len * 8;
-        self.update(&[0x80]);
-        // `update` mutated total_len; padding length math uses buffer_len.
-        while self.buffer_len != 56 {
-            self.update(&[0x00]);
-        }
-        self.total_len = 0; // Prevent the length bytes from recounting.
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buffer_len, 0);
+        // Padding: 0x80, zeros, then the 64-bit message bit length, filling
+        // one block, or two when fewer than 9 bytes remain in the first.
+        let n = self.buffer_len;
+        let mut pad = [0u8; 128];
+        pad[..n].copy_from_slice(&self.buffer[..n]);
+        pad[n] = 0x80;
+        let end = if n < 56 { 64 } else { 128 };
+        pad[end - 8..end].copy_from_slice(&(self.total_len * 8).to_be_bytes());
+        (self.compress)(&mut self.state, &pad[..end]);
         let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (o, word) in out.chunks_exact_mut(4).zip(self.state) {
+            o.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The portable compressor: FIPS 180-4 §6.2.2 on each 64-byte block of
+/// `data`, whose length must be a multiple of 64.
+fn compress_blocks_portable(state: &mut [u32; 8], data: &[u8]) {
+    debug_assert_eq!(data.len() % 64, 0);
+    for block in data.chunks_exact(64) {
         let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        for (wi, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *wi = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -132,7 +174,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ ((!e) & g);
@@ -153,14 +195,108 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
+/// The x86-64 SHA extensions kernel (Intel SHA-NI).
+///
+/// Each `sha256rnds2` runs two rounds on a state split across two
+/// registers, `ABEF` and `CDGH`; `sha256msg1`/`sha256msg2` extend the
+/// message schedule four words at a time.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use std::arch::x86_64::*;
+
+    use super::{CompressFn, K};
+
+    /// The kernel, when this CPU has every extension it uses.
+    pub(super) fn detect() -> Option<CompressFn> {
+        let supported = is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1");
+        supported.then_some(compress_blocks as CompressFn)
+    }
+
+    /// Compresses whole 64-byte blocks of `data` into `state`. Private:
+    /// the only way to reach it is the pointer [`detect`] returns.
+    fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
+        // SAFETY: `detect` hands out this function only after
+        // `is_x86_feature_detected!` confirmed `sha`, `sse2`, `ssse3` and
+        // `sse4.1`, the target features `compress_blocks_shani` needs.
+        unsafe { compress_blocks_shani(state, data) }
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support `sha`, `sse2`, `ssse3` and `sse4.1`.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn compress_blocks_shani(state: &mut [u32; 8], data: &[u8]) {
+        debug_assert_eq!(data.len() % 64, 0);
+        // Byte-swaps each 32-bit lane: the message words are big-endian.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // Every raw load and store below is unaligned (`loadu`/`storeu`)
+        // and in bounds: two 16-byte lanes of the 32-byte `state`, four of
+        // each 64-byte block, and quad `group` < 16 of the 64-word `K`.
+        let state_ptr = state.as_mut_ptr().cast::<__m128i>();
+        let dcba = _mm_loadu_si128(state_ptr);
+        let hgfe = _mm_loadu_si128(state_ptr.add(1));
+        let badc = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(badc, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, badc, 0xf0);
+
+        // Four rounds on message words `$w`, the `$group`th quad of `K`.
+        macro_rules! rounds4 {
+            ($w:expr, $group:expr) => {{
+                let k = _mm_loadu_si128(K.as_ptr().add(4 * $group).cast::<__m128i>());
+                let wk = _mm_add_epi32($w, k);
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+            }};
+        }
+        // The next quad of message words from the previous four, oldest
+        // first; the result replaces the oldest.
+        macro_rules! schedule {
+            ($w0:ident, $w1:ident, $w2:ident, $w3:ident) => {{
+                let t = _mm_sha256msg1_epu32($w0, $w1);
+                let t = _mm_add_epi32(t, _mm_alignr_epi8($w3, $w2, 4));
+                $w0 = _mm_sha256msg2_epu32(t, $w3);
+            }};
+        }
+
+        for block in data.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let p = block.as_ptr().cast::<__m128i>();
+            let mut w0 = _mm_shuffle_epi8(_mm_loadu_si128(p), bswap);
+            let mut w1 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(1)), bswap);
+            let mut w2 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(2)), bswap);
+            let mut w3 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(3)), bswap);
+            rounds4!(w0, 0);
+            rounds4!(w1, 1);
+            rounds4!(w2, 2);
+            rounds4!(w3, 3);
+            for group in [4, 8, 12] {
+                schedule!(w0, w1, w2, w3);
+                rounds4!(w0, group);
+                schedule!(w1, w2, w3, w0);
+                rounds4!(w1, group + 1);
+                schedule!(w2, w3, w0, w1);
+                rounds4!(w2, group + 2);
+                schedule!(w3, w0, w1, w2);
+                rounds4!(w3, group + 3);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        _mm_storeu_si128(state_ptr, _mm_blend_epi16(feba, dchg, 0xf0));
+        _mm_storeu_si128(state_ptr.add(1), _mm_alignr_epi8(dchg, feba, 8));
     }
 }
 
@@ -178,20 +314,35 @@ impl Sha256 {
 /// );
 /// ```
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
-    let mut key_block = [0u8; 64];
-    if key.len() > 64 {
-        key_block[..DIGEST_LEN].copy_from_slice(&Sha256::digest(key));
+    hmac_with(Sha256::new, key, message)
+}
+
+/// A hasher constructor: [`Sha256::new`] or [`Sha256::portable`].
+type MakeHasher = fn() -> Sha256;
+
+/// HMAC-SHA256 over hashers made by `hasher`.
+fn hmac_with(hasher: MakeHasher, key: &[u8], message: &[u8]) -> Digest {
+    let mut ipad = [0x36u8; 64];
+    let mut opad = [0x5cu8; 64];
+    let hashed;
+    let key = if key.len() > 64 {
+        let mut h = hasher();
+        h.update(key);
+        hashed = h.finalize();
+        &hashed[..]
     } else {
-        key_block[..key.len()].copy_from_slice(key);
+        key
+    };
+    for ((i, o), k) in ipad.iter_mut().zip(opad.iter_mut()).zip(key) {
+        *i ^= k;
+        *o ^= k;
     }
-    let mut inner = Sha256::new();
-    let ipad: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
+    let mut inner = hasher();
     inner.update(&ipad);
     inner.update(message);
     let inner_digest = inner.finalize();
 
-    let mut outer = Sha256::new();
-    let opad: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
+    let mut outer = hasher();
     outer.update(&opad);
     outer.update(&inner_digest);
     outer.finalize()
@@ -225,6 +376,17 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
 mod tests {
     use super::*;
 
+    /// Both compressors: the one this CPU dispatches to, and the portable
+    /// loop, which must stay tested on hosts that never dispatch to it.
+    const HASHERS: [(&str, MakeHasher); 2] =
+        [("dispatched", Sha256::new), ("portable", Sha256::portable)];
+
+    fn digest_with(hasher: MakeHasher, data: &[u8]) -> Digest {
+        let mut h = hasher();
+        h.update(data);
+        h.finalize()
+    }
+
     /// FIPS 180-4 / NIST CAVP vectors.
     #[test]
     fn sha256_known_vectors() {
@@ -241,29 +403,38 @@ mod tests {
                 b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
                 "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
             ),
+            (
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+            ),
         ];
-        for (input, expect) in cases {
-            assert_eq!(hex(&Sha256::digest(input)), *expect);
+        for (name, hasher) in HASHERS {
+            for (input, expect) in cases {
+                assert_eq!(hex(&digest_with(hasher, input)), *expect, "{name}");
+            }
         }
     }
 
     #[test]
     fn sha256_million_a() {
-        let mut h = Sha256::new();
-        let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            h.update(&chunk);
+        for (name, hasher) in HASHERS {
+            let mut h = hasher();
+            let chunk = [b'a'; 1000];
+            for _ in 0..1000 {
+                h.update(&chunk);
+            }
+            assert_eq!(
+                hex(&h.finalize()),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "{name}"
+            );
         }
-        assert_eq!(
-            hex(&h.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
     }
 
     #[test]
     fn sha256_incremental_matches_oneshot() {
         let data: Vec<u8> = (0..=255u8).cycle().take(1337).collect();
-        for split in [0, 1, 63, 64, 65, 1000, 1337] {
+        for split in [0, 1, 55, 56, 63, 64, 65, 119, 120, 1000, 1337] {
             let mut h = Sha256::new();
             h.update(&data[..split]);
             h.update(&data[split..]);
@@ -271,34 +442,57 @@ mod tests {
         }
     }
 
+    #[test]
+    fn padding_boundaries_match_across_compressors() {
+        // 55 bytes pad into one block, 56..=63 need a second; 64 and 119/120
+        // repeat the boundary one block on.
+        let data: Vec<u8> = (0..200u8).collect();
+        for len in [0, 1, 55, 56, 57, 63, 64, 65, 119, 120, 127, 128, 200] {
+            assert_eq!(
+                digest_with(Sha256::new, &data[..len]),
+                digest_with(Sha256::portable, &data[..len]),
+                "len {len}"
+            );
+        }
+    }
+
     /// RFC 4231 test cases 1, 2 and 3.
     #[test]
     fn hmac_known_vectors() {
-        assert_eq!(
-            hex(&hmac_sha256(&[0x0b; 20], b"Hi There")),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-        );
-        assert_eq!(
-            hex(&hmac_sha256(b"Jefe", b"what do ya want for nothing?")),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-        );
-        assert_eq!(
-            hex(&hmac_sha256(&[0xaa; 20], &[0xdd; 50])),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
-        );
+        for (name, hasher) in HASHERS {
+            assert_eq!(
+                hex(&hmac_with(hasher, &[0x0b; 20], b"Hi There")),
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+                "{name}"
+            );
+            assert_eq!(
+                hex(&hmac_with(hasher, b"Jefe", b"what do ya want for nothing?")),
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+                "{name}"
+            );
+            assert_eq!(
+                hex(&hmac_with(hasher, &[0xaa; 20], &[0xdd; 50])),
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+                "{name}"
+            );
+        }
     }
 
     #[test]
     fn hmac_long_key_is_hashed() {
         // RFC 4231 test case 6: 131-byte key.
         let key = [0xaa; 131];
-        assert_eq!(
-            hex(&hmac_sha256(
-                &key,
-                b"Test Using Larger Than Block-Size Key - Hash Key First"
-            )),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-        );
+        for (name, hasher) in HASHERS {
+            assert_eq!(
+                hex(&hmac_with(
+                    hasher,
+                    &key,
+                    b"Test Using Larger Than Block-Size Key - Hash Key First"
+                )),
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+                "{name}"
+            );
+        }
     }
 
     #[test]

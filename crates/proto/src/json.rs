@@ -137,22 +137,58 @@ fn encode_f64(v: f64, out: &mut String) {
     }
 }
 
-fn encode_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Whether `b` must be escaped inside a JSON string: the quote, the
+/// backslash and the control characters.
+fn needs_escape(b: u8) -> bool {
+    b < 0x20 || b == b'"' || b == b'\\'
+}
+
+/// Length of the leading run of `bytes` that needs no escape. Each
+/// 16-byte chunk is tested with a fold that has no early exit, which
+/// compiles to vector compares; only the chunk holding the run's end is
+/// searched byte by byte.
+fn plain_prefix_len(bytes: &[u8]) -> usize {
+    let mut n = 0;
+    for chunk in bytes.chunks(16) {
+        if chunk.iter().fold(false, |any, &b| any | needs_escape(b)) {
+            return n + chunk
+                .iter()
+                .position(|&b| needs_escape(b))
+                .expect("the fold found an escape");
         }
+        n += chunk.len();
+    }
+    n
+}
+
+/// Writes `s` as a quoted JSON string, copying each run of bytes that
+/// needs no escape whole. Escaped bytes are ASCII, so every run ends on
+/// a character boundary.
+fn encode_string(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut rest = s;
+    loop {
+        let run = plain_prefix_len(rest.as_bytes());
+        out.push_str(&rest[..run]);
+        let Some(&b) = rest.as_bytes().get(run) else {
+            break;
+        };
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xF)]));
+            }
+        }
+        rest = &rest[run + 1..];
     }
     out.push('"');
 }
@@ -298,12 +334,7 @@ impl<'a> Parser<'a> {
         loop {
             let start = self.pos;
             // Fast path: copy a run of plain bytes at once.
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
+            self.pos += plain_prefix_len(&self.bytes[start..]);
             if self.pos > start {
                 let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
                     .map_err(|_| self.err("invalid UTF-8 in string"))?;
@@ -415,6 +446,20 @@ impl<'a> Parser<'a> {
 
 const B64_ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_";
 
+/// Marks bytes outside the alphabet in [`B64_DECODE`].
+const B64_INVALID: u8 = 0xFF;
+
+/// Each byte's 6-bit value in the base64url alphabet, or [`B64_INVALID`].
+const B64_DECODE: [u8; 256] = {
+    let mut table = [B64_INVALID; 256];
+    let mut i = 0;
+    while i < B64_ALPHABET.len() {
+        table[B64_ALPHABET[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
 /// Encodes bytes as unpadded base64url.
 pub fn base64_encode(data: &[u8]) -> String {
     let mut out = String::with_capacity(data.len().div_ceil(3) * 4);
@@ -423,54 +468,58 @@ pub fn base64_encode(data: &[u8]) -> String {
 }
 
 fn base64_encode_into(data: &[u8], out: &mut String) {
-    for chunk in data.chunks(3) {
-        let b = [
-            chunk[0],
-            chunk.get(1).copied().unwrap_or(0),
-            chunk.get(2).copied().unwrap_or(0),
-        ];
-        let n = (u32::from(b[0]) << 16) | (u32::from(b[1]) << 8) | u32::from(b[2]);
-        out.push(B64_ALPHABET[(n >> 18) as usize & 63] as char);
-        out.push(B64_ALPHABET[(n >> 12) as usize & 63] as char);
-        if chunk.len() > 1 {
-            out.push(B64_ALPHABET[(n >> 6) as usize & 63] as char);
+    // Input bytes per stack batch; a multiple of 3, so only the last
+    // batch has a partial group.
+    const BATCH: usize = 192;
+    let sextet = |n: u32, shift: u32| B64_ALPHABET[(n >> shift) as usize & 63];
+    out.reserve(data.len().div_ceil(3) * 4);
+    for batch in data.chunks(BATCH) {
+        let mut buf = [0u8; BATCH / 3 * 4];
+        let groups = batch.chunks_exact(3);
+        let tail = groups.remainder();
+        for (g, o) in groups.zip(buf.chunks_exact_mut(4)) {
+            let n = (u32::from(g[0]) << 16) | (u32::from(g[1]) << 8) | u32::from(g[2]);
+            o.copy_from_slice(&[sextet(n, 18), sextet(n, 12), sextet(n, 6), sextet(n, 0)]);
         }
-        if chunk.len() > 2 {
-            out.push(B64_ALPHABET[n as usize & 63] as char);
+        let mut len = batch.len() / 3 * 4;
+        if let Some(&first) = tail.first() {
+            let second = tail.get(1).copied().unwrap_or(0);
+            let n = (u32::from(first) << 16) | (u32::from(second) << 8);
+            let sextets = [sextet(n, 18), sextet(n, 12), sextet(n, 6)];
+            buf[len..len + tail.len() + 1].copy_from_slice(&sextets[..tail.len() + 1]);
+            len += tail.len() + 1;
         }
+        out.push_str(std::str::from_utf8(&buf[..len]).expect("the base64url alphabet is ASCII"));
     }
 }
 
 /// Decodes unpadded base64url; `None` on invalid input.
 pub fn base64_decode(text: &str) -> Option<Vec<u8>> {
-    fn val(b: u8) -> Option<u32> {
-        match b {
-            b'A'..=b'Z' => Some(u32::from(b - b'A')),
-            b'a'..=b'z' => Some(u32::from(b - b'a') + 26),
-            b'0'..=b'9' => Some(u32::from(b - b'0') + 52),
-            b'-' => Some(62),
-            b'_' => Some(63),
-            _ => None,
-        }
-    }
     let bytes = text.as_bytes();
     if bytes.len() % 4 == 1 {
         return None;
     }
-    let mut out = Vec::with_capacity(bytes.len() * 3 / 4);
-    for chunk in bytes.chunks(4) {
-        let mut n = 0u32;
-        for &b in chunk {
-            n = (n << 6) | val(b)?;
+    let quads = bytes.chunks_exact(4);
+    let tail = quads.remainder();
+    // A tail of 2 or 3 sextets carries 1 or 2 bytes.
+    let mut out = vec![0u8; bytes.len() / 4 * 3 + tail.len().saturating_sub(1)];
+    let sextets = |chunk: &[u8]| -> Option<u32> {
+        let (mut n, mut seen) = (0u32, 0u8);
+        for &x in chunk {
+            let v = B64_DECODE[usize::from(x)];
+            seen |= v;
+            n = (n << 6) | u32::from(v);
         }
-        n <<= 6 * (4 - chunk.len());
-        out.push((n >> 16) as u8);
-        if chunk.len() > 2 {
-            out.push((n >> 8) as u8);
-        }
-        if chunk.len() > 3 {
-            out.push(n as u8);
-        }
+        // Valid values fit in 6 bits; an invalid one sets all 8.
+        (seen < 64).then_some(n)
+    };
+    let (body, last) = out.split_at_mut(bytes.len() / 4 * 3);
+    for (q, o) in quads.zip(body.chunks_exact_mut(3)) {
+        o.copy_from_slice(&sextets(q)?.to_be_bytes()[1..]);
+    }
+    if !tail.is_empty() {
+        let n = sextets(tail)? << (6 * (4 - tail.len()));
+        last.copy_from_slice(&n.to_be_bytes()[1..tail.len()]);
     }
     Some(out)
 }
@@ -591,13 +640,46 @@ mod tests {
     fn base64_rejects_garbage() {
         assert!(base64_decode("!!!").is_none());
         assert!(base64_decode("A").is_none());
+        // Every byte outside the alphabet is rejected, first or last in a
+        // quad. These chars' UTF-8 encodings hold every byte a `str` can.
+        let chars = (0..0x800)
+            .chain((0x800..0x1_0000).step_by(0x800))
+            .chain((0x1_0000..0x11_0000).step_by(0x3_0000))
+            .filter_map(char::from_u32);
+        let mut seen = [false; 256];
+        for c in chars {
+            let mut buf = [0; 4];
+            let enc = c.encode_utf8(&mut buf);
+            for &b in enc.as_bytes() {
+                seen[usize::from(b)] = true;
+            }
+            let valid = c.is_ascii() && B64_ALPHABET.contains(&(c as u8));
+            // Two whole quads with `c` first, then last.
+            let filler = &"QUJDQUJD"[enc.len()..];
+            for text in [format!("{c}{filler}"), format!("{filler}{c}")] {
+                assert_eq!(base64_decode(&text).is_some(), valid, "{c:?} in {text:?}");
+            }
+        }
+        let never_in_utf8 = |b: usize| matches!(b, 0xC0 | 0xC1 | 0xF5..=0xFF);
+        assert!((0..256).all(|b| seen[b] || never_in_utf8(b)));
     }
 
     #[test]
     fn control_chars_escaped() {
-        let v = Value::Str("\u{01}".into());
-        assert_eq!(encode(&v), "\"\\u0001\"");
-        assert_eq!(roundtrip(&v), v);
+        for b in 0u8..0x20 {
+            let s = format!("a{}é", char::from(b));
+            let want = match b {
+                0x08 => "\\b".to_owned(),
+                0x09 => "\\t".to_owned(),
+                0x0A => "\\n".to_owned(),
+                0x0C => "\\f".to_owned(),
+                0x0D => "\\r".to_owned(),
+                _ => format!("\\u{b:04x}"),
+            };
+            let enc = encode(&Value::Str(s.clone()));
+            assert_eq!(enc, format!("\"a{want}é\""));
+            assert_eq!(decode(&enc).unwrap(), Value::Str(s));
+        }
     }
 
     #[test]

@@ -231,6 +231,18 @@ mod tests {
         (id == "AKID").then(creds)
     }
 
+    /// The signature of `signed_request`, pinned from the portable SHA-256
+    /// path. A change to hashing, canonicalisation or header handling
+    /// that moves one signed byte fails here, whichever compressor the
+    /// host dispatches to.
+    #[test]
+    fn signature_matches_the_golden_value() {
+        assert_eq!(
+            signed_request().headers.get(SIGNATURE_HEADER),
+            Some("196c110b84b22360f452715d8790882d4ab1f6474ae299593386bb8033f68855")
+        );
+    }
+
     #[test]
     fn sign_then_verify_succeeds() {
         let req = signed_request();

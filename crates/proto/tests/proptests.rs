@@ -33,6 +33,18 @@ fn arb_value() -> impl Strategy<Value = Value> {
     })
 }
 
+/// Characters JSON strings must escape, mixed with plain and multibyte
+/// ones.
+fn arb_json_char() -> impl Strategy<Value = char> {
+    prop_oneof![
+        (0u32..0x20).prop_map(|c| char::from_u32(c).expect("a control char")),
+        Just('"'),
+        Just('\\'),
+        any::<char>(),
+        (0x80u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap_or('\u{10FFFF}')),
+    ]
+}
+
 /// `Value` equality modulo JSON's lossy spots (bytes become base64
 /// strings), used to compare JSON roundtrips.
 fn json_normalize(v: &Value) -> Value {
@@ -119,6 +131,33 @@ proptest! {
         h.update(&data[..split]);
         h.update(&data[split..]);
         prop_assert_eq!(h.finalize(), hash::Sha256::digest(&data));
+    }
+
+    #[test]
+    fn sha256_dispatched_equals_portable(
+        data in proptest::collection::vec(any::<u8>(), 0..4097),
+        cuts in proptest::collection::vec(0usize..4097, 0..8),
+    ) {
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
+        cuts.sort_unstable();
+        cuts.push(data.len());
+        let mut dispatched = hash::Sha256::new();
+        let mut at = 0;
+        for cut in cuts {
+            dispatched.update(&data[at..cut]);
+            at = cut;
+        }
+        let mut portable = hash::Sha256::portable();
+        portable.update(&data);
+        prop_assert_eq!(dispatched.finalize(), portable.finalize());
+    }
+
+    #[test]
+    fn json_string_roundtrip_is_identity(
+        chars in proptest::collection::vec(arb_json_char(), 0..64),
+    ) {
+        let v = Value::Str(chars.into_iter().collect());
+        prop_assert_eq!(json::decode(&json::encode(&v)).unwrap(), v);
     }
 
     #[test]
