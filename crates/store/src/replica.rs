@@ -18,7 +18,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 
-use fxhash::FxHashMap;
+use fxhash::{FxHashMap, FxHashSet};
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -53,15 +53,8 @@ struct Inner {
     fabric: Fabric,
     placement: Placement,
     engine: RefCell<StorageEngine>,
-    /// Coordinate dedup table: `req_id` → the recorded **success**
-    /// response, or `None` while the original execution is still in
-    /// flight. The fabric delivers at-least-once (duplicate injection)
-    /// and clients retry, so a re-delivered coordination must replay the
-    /// response rather than order the mutation a second time. Failed
-    /// coordinations are *removed* so a retry re-executes. Bounded at
-    /// [`SEEN_COORDINATES_CAP`] completed entries, oldest `req_id`
-    /// evicted first (in-flight claims are never evicted).
-    seen_coordinates: RefCell<BTreeMap<u64, Option<Response>>>,
+    /// Coordinate dedup table; see [`coordinate_dedup`].
+    seen_coordinates: RefCell<SeenCoordinates>,
     /// Which client requests the local state provably contains — the
     /// exactly-once ledger. See [`ReqLedger`].
     ledger: RefCell<ReqLedger>,
@@ -95,7 +88,7 @@ impl ReplicaNode {
             fabric: fabric.clone(),
             placement,
             engine: RefCell::new(StorageEngine::new(tier)),
-            seen_coordinates: RefCell::new(BTreeMap::new()),
+            seen_coordinates: RefCell::default(),
             ledger: RefCell::new(ReqLedger::default()),
             io_free_at: Cell::new(SimTime::ZERO),
             coordinated: Counter::new(),
@@ -216,7 +209,44 @@ impl ReplicaNode {
 /// oldest are evicted. An evicted request that is retried falls through
 /// to [`coordinate`], whose [`ReqLedger`] lookup still replays it
 /// honestly instead of re-ordering.
-const SEEN_COORDINATES_CAP: usize = 4096;
+pub(crate) const SEEN_COORDINATES_CAP: usize = 4096;
+
+/// [`coordinate_dedup`]'s table: completed `req_id` → tag, plus the
+/// claims still running. Eviction ([`SEEN_COORDINATES_CAP`]) never drops
+/// a claim, or a duplicate could re-execute while the original runs.
+#[derive(Default)]
+struct SeenCoordinates {
+    completed: BTreeMap<u64, Tag>,
+    in_flight: FxHashSet<u64>,
+}
+
+/// An arriving coordination's verdict from [`SeenCoordinates::claim`].
+enum Claim {
+    Replay(Tag),
+    Wait,
+    Claimed,
+}
+
+impl SeenCoordinates {
+    fn claim(&mut self, req_id: u64) -> Claim {
+        match self.completed.get(&req_id) {
+            Some(&tag) => Claim::Replay(tag),
+            None if self.in_flight.insert(req_id) => Claim::Claimed,
+            None => Claim::Wait,
+        }
+    }
+
+    /// Releases `req_id`'s claim, recording its tag only on success.
+    fn finish(&mut self, req_id: u64, resp: &Response) {
+        self.in_flight.remove(&req_id);
+        if let Response::Coordinated { tag } = *resp {
+            self.completed.insert(req_id, tag);
+            while self.completed.len() > SEEN_COORDINATES_CAP {
+                self.completed.pop_first();
+            }
+        }
+    }
+}
 
 /// Ledger entries kept per object. A single client request retries for
 /// at most one operation's deadline, so the dedup window only needs to
@@ -631,14 +661,11 @@ fn mutation_bytes(m: &Mutation) -> usize {
     }
 }
 
-/// At-most-once execution of [`Request::Coordinate`]. The first arrival
-/// of a `req_id` claims it and runs [`coordinate`]; any duplicate
-/// delivery either replays the recorded success response or, while the
-/// original is still in flight, waits for it to finish. Without this a
-/// network-duplicated coordination would be ordered twice at a fresh
-/// tag, silently reverting any write that landed in between. A *failed*
-/// coordination is removed from the table so a client retry re-executes
-/// instead of replaying the failure.
+/// At-most-once execution of [`Request::Coordinate`]: the first arrival
+/// of a `req_id` runs [`coordinate`]; a duplicate (fabric redelivery or a
+/// client retry) replays the recorded success or waits for the original,
+/// never re-ordering it over a write that landed in between. A failure
+/// records nothing, so a retry re-executes.
 async fn coordinate_dedup(
     inner: &Rc<Inner>,
     req_id: u64,
@@ -649,43 +676,15 @@ async fn coordinate_dedup(
     ctx: Option<TraceContext>,
 ) -> Response {
     loop {
-        let claimed = {
-            let mut seen = inner.seen_coordinates.borrow_mut();
-            match seen.get(&req_id) {
-                Some(Some(resp)) => return resp.clone(),
-                Some(None) => false,
-                None => {
-                    seen.insert(req_id, None);
-                    true
-                }
-            }
-        };
-        if claimed {
-            break;
+        let claim = inner.seen_coordinates.borrow_mut().claim(req_id);
+        match claim {
+            Claim::Replay(tag) => return Response::Coordinated { tag },
+            Claim::Claimed => break,
+            Claim::Wait => inner.fabric.handle().sleep(Duration::from_micros(50)).await,
         }
-        inner.fabric.handle().sleep(Duration::from_micros(50)).await;
     }
     let resp = coordinate(inner, id, mutation, sync_replicas, req_id, expires_ns, ctx).await;
-    {
-        let mut seen = inner.seen_coordinates.borrow_mut();
-        if matches!(resp, Response::Coordinated { .. }) {
-            seen.insert(req_id, Some(resp.clone()));
-        } else {
-            seen.remove(&req_id);
-        }
-        // Bound the table: drop the oldest *completed* entries (never an
-        // in-flight claim — removing one would let a concurrent duplicate
-        // re-execute the coordination while the original still runs).
-        let completed = seen.values().filter(|v| v.is_some()).count();
-        for _ in SEEN_COORDINATES_CAP..completed {
-            let oldest = seen
-                .iter()
-                .find(|(_, v)| v.is_some())
-                .map(|(&r, _)| r)
-                .expect("completed count > 0");
-            seen.remove(&oldest);
-        }
-    }
+    inner.seen_coordinates.borrow_mut().finish(req_id, &resp);
     resp
 }
 
@@ -1227,6 +1226,85 @@ mod tests {
         }
         for n in 3..6 {
             assert_eq!(l.lookup(id(n), n + 100), Some(tag(1, 0)));
+        }
+    }
+
+    fn coordinated(seq: u64) -> Response {
+        Response::Coordinated { tag: tag(seq, 0) }
+    }
+
+    #[test]
+    fn dedup_claims_once_and_duplicates_wait() {
+        let mut t = SeenCoordinates::default();
+        assert!(matches!(t.claim(5), Claim::Claimed));
+        // A concurrent duplicate of the running original waits.
+        assert!(matches!(t.claim(5), Claim::Wait));
+        assert!(matches!(t.claim(5), Claim::Wait));
+        // Other requests are unaffected.
+        assert!(matches!(t.claim(6), Claim::Claimed));
+    }
+
+    #[test]
+    fn dedup_replays_completed_requests_at_their_tag() {
+        let mut t = SeenCoordinates::default();
+        assert!(matches!(t.claim(5), Claim::Claimed));
+        t.finish(5, &coordinated(3));
+        assert!(t.in_flight.is_empty());
+        for _ in 0..2 {
+            assert!(matches!(t.claim(5), Claim::Replay(g) if g == tag(3, 0)));
+        }
+    }
+
+    #[test]
+    fn dedup_failure_clears_the_claim_and_records_nothing() {
+        let mut t = SeenCoordinates::default();
+        assert!(matches!(t.claim(5), Claim::Claimed));
+        let failed = Response::Err(WireError::QuorumUnavailable { needed: 2, got: 1 });
+        t.finish(5, &failed);
+        assert!(t.completed.is_empty() && t.in_flight.is_empty());
+        // A retry re-executes instead of replaying the failure.
+        assert!(matches!(t.claim(5), Claim::Claimed));
+    }
+
+    #[test]
+    fn dedup_evicts_exactly_the_smallest_completed_req_ids() {
+        let k = 5u64;
+        let cap = SEEN_COORDINATES_CAP as u64;
+        let mut t = SeenCoordinates::default();
+        // Complete out of req_id order: eviction follows req_id, not age.
+        for r in (0..cap + k).rev() {
+            assert!(matches!(t.claim(r), Claim::Claimed));
+            t.finish(r, &coordinated(r + 1));
+        }
+        assert_eq!(t.completed.len(), SEEN_COORDINATES_CAP);
+        for r in 0..k {
+            assert!(!t.completed.contains_key(&r), "req {r} must be evicted");
+        }
+        for r in k..cap + k {
+            assert_eq!(t.completed.get(&r), Some(&tag(r + 1, 0)));
+        }
+        // An evicted request is claimed afresh (the ledger then replays it).
+        assert!(matches!(t.claim(0), Claim::Claimed));
+    }
+
+    #[test]
+    fn dedup_never_evicts_in_flight_claims() {
+        let cap = SEEN_COORDINATES_CAP as u64;
+        let mut t = SeenCoordinates::default();
+        // More claims than the cap, all still running (small req_ids, so
+        // a req_id-ordered eviction would reach them first)...
+        for r in 0..cap + 10 {
+            assert!(matches!(t.claim(r), Claim::Claimed));
+        }
+        // ...while more than the cap of later requests complete.
+        for r in 10 * cap..11 * cap + 3 {
+            assert!(matches!(t.claim(r), Claim::Claimed));
+            t.finish(r, &coordinated(1));
+        }
+        assert_eq!(t.completed.len(), SEEN_COORDINATES_CAP);
+        assert_eq!(t.in_flight.len() as u64, cap + 10);
+        for r in 0..cap + 10 {
+            assert!(matches!(t.claim(r), Claim::Wait), "claim {r} evicted");
         }
     }
 }

@@ -2517,6 +2517,92 @@ mod tests {
     }
 
     #[test]
+    fn evicted_dedup_entries_degrade_to_a_retry_not_a_duplicate_apply() {
+        // One replica coordinates more appends than its dedup table keeps.
+        // Resending the oldest (evicted) request must fall through to the
+        // ledger and replay at its original tag; resending a recent one
+        // replays from the table without re-running the coordination.
+        // Either way no object may hold an append twice.
+        use crate::replica::SEEN_COORDINATES_CAP;
+        const LETTERS: &[u8] = b"abcdefghijklmnopq";
+        let mut sim = Sim::new(7);
+        let (fabric, store) = deploy(&sim, false);
+        sim.block_on({
+            let store = store.clone();
+            let fabric = fabric.clone();
+            async move {
+                let nodes = fabric.topology().node_ids();
+                let (node, client_node) = (nodes[0], nodes[1]);
+                // 256 objects, so each one's 32-entry ledger still holds
+                // every request sent to it.
+                let ids: Vec<ObjectId> = (0..)
+                    .map(oid)
+                    .filter(|&id| store.placement().replicas(id).contains(&node))
+                    .take(256)
+                    .collect();
+                let client = store.client(client_node);
+                for &id in &ids {
+                    client
+                        .put(
+                            id,
+                            Bytes::new(),
+                            Mutability::AppendOnly,
+                            Consistency::Linearizable,
+                        )
+                        .await
+                        .unwrap();
+                }
+                let n = SEEN_COORDINATES_CAP + 64;
+                // req_ids sit above the ones the client's puts took (1, 2, ...).
+                let send = |i: usize| {
+                    let (id, k) = (ids[i % ids.len()], i / ids.len());
+                    raw_append(
+                        &fabric,
+                        client_node,
+                        node,
+                        id,
+                        &LETTERS[k..=k],
+                        1 << 32 | i as u64,
+                    )
+                };
+                let mut tags = Vec::with_capacity(n);
+                for i in 0..n {
+                    match send(i).await {
+                        Response::Coordinated { tag } => tags.push(tag),
+                        r => panic!("append {i} failed: {r:?}"),
+                    }
+                }
+                let replica = store.replica_on(node).unwrap();
+                // (request, whether it re-enters `coordinate`): the evicted
+                // request replays through the ledger, the recent one from
+                // the dedup table.
+                for (i, reruns) in [(0, true), (n - 1, false)] {
+                    let before = replica.coordinated_count();
+                    let r = send(i).await;
+                    assert!(
+                        matches!(r, Response::Coordinated { tag } if tag == tags[i]),
+                        "resent request {i} must replay at {}: {r:?}",
+                        tags[i]
+                    );
+                    assert_eq!(replica.coordinated_count() - before, u64::from(reruns));
+                }
+                // Let the asynchronous fan-out land everywhere.
+                fabric.handle().sleep(Duration::from_millis(10)).await;
+                for (j, &id) in ids.iter().enumerate() {
+                    let appends = (n - j).div_ceil(ids.len());
+                    for r in store.placement().replicas(id) {
+                        assert_eq!(
+                            replica_bytes(&store, r, id),
+                            &LETTERS[..appends],
+                            "object {j} on {r}"
+                        );
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
     fn failover_reorder_does_not_double_apply() {
         // Regression for the exactly-once hole: a coordination succeeds
         // server-side at the primary (its fan-out reached one secondary)
