@@ -570,19 +570,20 @@ impl Fabric {
     /// The abandoned call keeps running detached: the handler may still
     /// execute and its effects may still land. Callers must treat a
     /// deadline error as *ambiguous* and retry only idempotent requests.
+    /// `service` is `'static` because the detached call outlives this
+    /// one: the name is borrowed, never copied.
     pub async fn call_with_deadline(
         &self,
         from: NodeId,
         to: NodeId,
-        service: &str,
+        service: &'static str,
         transport: Transport,
         payload: Bytes,
         deadline: Duration,
     ) -> Result<Bytes, NetError> {
         let fabric = self.clone();
-        let service = service.to_owned();
         let raced = pcsi_sim::util::deadline(&self.inner.handle, deadline, async move {
-            fabric.call(from, to, &service, transport, payload).await
+            fabric.call(from, to, service, transport, payload).await
         })
         .await;
         raced.unwrap_or(Err(NetError::DeadlineExceeded))
@@ -595,17 +596,16 @@ impl Fabric {
         &self,
         from: NodeId,
         to: NodeId,
-        service: &str,
+        service: &'static str,
         transport: Transport,
         payload: Bytes,
         deadline: Duration,
         trace: Option<pcsi_trace::TraceContext>,
     ) -> Result<Bytes, NetError> {
         let fabric = self.clone();
-        let service = service.to_owned();
         let raced = pcsi_sim::util::deadline(&self.inner.handle, deadline, async move {
             fabric
-                .call_traced(from, to, &service, transport, payload, trace)
+                .call_traced(from, to, service, transport, payload, trace)
                 .await
         })
         .await;

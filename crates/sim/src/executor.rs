@@ -22,7 +22,7 @@ use std::time::Duration;
 use crate::rng::RngStreams;
 use crate::sync::oneshot;
 use crate::time::SimTime;
-use crate::wheel::TimerWheel;
+use crate::wheel::{Fire, TimerWheel};
 
 /// A non-`Send` boxed future, the unit of spawning in the simulator.
 pub type LocalBoxFuture<T> = Pin<Box<dyn Future<Output = T> + 'static>>;
@@ -42,40 +42,132 @@ impl fmt::Display for TimeoutError {
 
 impl std::error::Error for TimeoutError {}
 
-/// The multi-producer ready queue shared between the executor and wakers.
+/// The ready queue shared between the executor and wakers.
 ///
-/// Wakers may be invoked from inside a task poll (while the executor's
-/// `RefCell` state is borrowed), so this queue deliberately lives behind a
-/// `Mutex` rather than the `RefCell`. The mutex is never contended — the
-/// simulation is single-threaded — it only provides the `Sync` contract the
-/// `Waker` API requires.
+/// While a sim's [`Sim::block_on`] runs, wakes on its thread push onto
+/// that thread's [`ACTIVE`] queue, with no lock. Every other push — a
+/// waker moved to another thread, or a spawn or wake while no
+/// `block_on` of this sim runs (spawns before the first one, wakes
+/// between two) — lands in `remote`. `block_on` moves `remote` onto the
+/// active queue when it starts and whenever the active queue runs dry,
+/// so pushes made outside it run in the order they were made, ahead of
+/// anything the `block_on` itself queues.
 #[derive(Default)]
 struct ReadyQueue {
-    queue: Mutex<VecDeque<TaskId>>,
+    remote: Mutex<VecDeque<TaskId>>,
+    /// Set by every push to `remote`, cleared when it is merged: lets
+    /// `block_on` skip the lock when the active queue runs dry and
+    /// nothing came from elsewhere, which is nearly always. A hint only:
+    /// the ids themselves are published by the mutex.
+    remote_pushed: AtomicBool,
 }
 
 impl ReadyQueue {
     fn push(&self, id: TaskId) {
-        self.queue
-            .lock()
-            .expect("ready queue poisoned")
-            .push_back(id);
+        let local = ACTIVE
+            .try_with(|active| {
+                let mut active = active.borrow_mut();
+                let ours = std::ptr::eq(active.ready, self);
+                if ours {
+                    active.queue.push_back(id);
+                }
+                ours
+            })
+            .unwrap_or(false);
+        if !local {
+            self.remote().push_back(id);
+            self.remote_pushed.store(true, Ordering::Release);
+        }
     }
 
-    /// Swaps the queued batch out into `into` (which must be empty),
-    /// leaving the queue empty. One lock per batch instead of one per
-    /// task; FIFO order is preserved because the batch is processed
-    /// front-to-back before the next swap.
-    fn take_batch(&self, into: &mut VecDeque<TaskId>) {
-        debug_assert!(into.is_empty());
-        std::mem::swap(&mut *self.queue.lock().expect("ready queue poisoned"), into);
+    fn remote(&self) -> std::sync::MutexGuard<'_, VecDeque<TaskId>> {
+        self.remote.lock().expect("ready queue poisoned")
+    }
+
+    /// Appends `remote` to the active queue; false if it was empty.
+    fn merge_remote(&self) -> bool {
+        if !self.remote_pushed.load(Ordering::Acquire) {
+            return false;
+        }
+        let mut remote = self.remote();
+        self.remote_pushed.store(false, Ordering::Relaxed);
+        if remote.is_empty() {
+            return false;
+        }
+        ACTIVE.with(|active| active.borrow_mut().queue.append(&mut remote));
+        true
     }
 }
 
-/// Per-task waker: pushes the task id onto the shared ready queue.
+/// The ready queue of the sim whose [`Sim::block_on`] runs on this
+/// thread.
+struct ActiveSim {
+    /// Which sim's [`ReadyQueue`] this is: compared, never dereferenced.
+    /// Null when no `block_on` runs.
+    ready: *const ReadyQueue,
+    queue: VecDeque<TaskId>,
+}
+
+impl ActiveSim {
+    const IDLE: ActiveSim = ActiveSim {
+        ready: std::ptr::null(),
+        queue: VecDeque::new(),
+    };
+}
+
+thread_local! {
+    static ACTIVE: RefCell<ActiveSim> = const { RefCell::new(ActiveSim::IDLE) };
+}
+
+/// Publishes a sim's ready queue as this thread's [`ACTIVE`] one for the
+/// span of a `block_on`. Dropping it, also while unwinding, restores the
+/// previous one, so a panicking run never leaves a stale slot behind.
+struct Activation {
+    ready: Arc<ReadyQueue>,
+    prev: ActiveSim,
+}
+
+impl Activation {
+    fn enter(ready: &Arc<ReadyQueue>) -> Self {
+        let queue = std::mem::take(&mut *ready.remote());
+        let ours = ActiveSim {
+            ready: Arc::as_ptr(ready),
+            queue,
+        };
+        let prev = ACTIVE.with(|active| std::mem::replace(&mut *active.borrow_mut(), ours));
+        Activation {
+            ready: Arc::clone(ready),
+            prev,
+        }
+    }
+}
+
+impl Drop for Activation {
+    fn drop(&mut self) {
+        let prev = std::mem::replace(&mut self.prev, ActiveSim::IDLE);
+        let ours = ACTIVE.with(|active| std::mem::replace(&mut *active.borrow_mut(), prev));
+        // Only a panic leaves ids queued; hand them back so a later
+        // `block_on` still runs them first.
+        if ours.queue.is_empty() {
+            return;
+        }
+        let mut remote = self.ready.remote();
+        for id in ours.queue.into_iter().rev() {
+            remote.push_front(id);
+        }
+        self.ready.remote_pushed.store(true, Ordering::Release);
+    }
+}
+
+/// Per-task waker: pushes the task id onto its sim's ready queue.
 ///
-/// The `queued` flag collapses redundant wakes between polls so a task woken
-/// by several channels in one instant is polled once.
+/// The `queued` flag collapses redundant wakes between polls so a task
+/// woken by several channels in one instant is polled once. It is a
+/// plain load and store rather than a `swap`: the simulation wakes its
+/// tasks from its own thread, and two threads racing to wake one task
+/// could at worst queue it twice, which costs one spurious poll. The
+/// flag publishes no data (the id travels through the ready queue), so
+/// its accesses are `Relaxed`.
 struct TaskWaker {
     id: TaskId,
     // Strong reference: the queue holds only task ids (never wakers), so
@@ -91,7 +183,8 @@ impl Wake for TaskWaker {
     }
 
     fn wake_by_ref(self: &Arc<Self>) {
-        if !self.queued.swap(true, Ordering::AcqRel) {
+        if !self.queued.load(Ordering::Relaxed) {
+            self.queued.store(true, Ordering::Relaxed);
             self.ready.push(self.id);
         }
     }
@@ -105,10 +198,18 @@ struct Task {
     waker_obj: Waker,
 }
 
+/// A task slot free for the next spawn. It keeps the finished task's
+/// waker only when no clone of it is left anywhere, so nothing stale can
+/// ever wake the task that reuses it.
+struct FreeSlot {
+    id: TaskId,
+    waker: Option<(Arc<TaskWaker>, Waker)>,
+}
+
 struct Inner {
     now: SimTime,
     tasks: Vec<Option<Task>>,
-    free: Vec<TaskId>,
+    free: Vec<FreeSlot>,
     /// Pending timers, fired in `(deadline, seq)` order. The wheel's
     /// anchor tracks `now` exactly: it advances only when a timer pops,
     /// and `now` is set to each popped deadline.
@@ -160,8 +261,6 @@ pub struct Sim {
     inner: Rc<RefCell<Inner>>,
     ready: Arc<ReadyQueue>,
     rng: RngStreams,
-    /// Reusable batch buffer for [`Sim::drain_ready`].
-    scratch: VecDeque<TaskId>,
 }
 
 impl Sim {
@@ -171,7 +270,6 @@ impl Sim {
             inner: Rc::new(RefCell::new(Inner::new())),
             ready: Arc::new(ReadyQueue::default()),
             rng: RngStreams::new(seed),
-            scratch: VecDeque::new(),
         }
     }
 
@@ -196,8 +294,8 @@ impl Sim {
     /// Panics on deadlock: the root future is pending but no task is
     /// runnable and no timer is outstanding.
     pub fn block_on<T: 'static>(&mut self, root: impl Future<Output = T> + 'static) -> T {
-        let h = self.handle();
-        let join = h.spawn(root);
+        let _active = Activation::enter(&self.ready);
+        let join = self.handle().spawn(root);
         let mut join = Box::pin(join);
         let waker = Waker::from(Arc::new(NoopWaker));
 
@@ -222,36 +320,32 @@ impl Sim {
 
     /// Polls runnable tasks until the ready queue is empty.
     fn drain_ready(&mut self) {
-        let mut batch = std::mem::take(&mut self.scratch);
         loop {
-            self.ready.take_batch(&mut batch);
-            if batch.is_empty() {
-                break;
-            }
-            while let Some(id) = batch.pop_front() {
-                self.poll_task(id);
+            match ACTIVE.with(|active| active.borrow_mut().queue.pop_front()) {
+                Some(id) => self.poll_task(id),
+                None if self.ready.merge_remote() => {}
+                None => break,
             }
         }
-        self.scratch = batch;
     }
 
     /// Advances the clock to the earliest timer and wakes it.
     ///
     /// Returns `false` if no timers are pending.
     fn advance_to_next_timer(&mut self) -> bool {
-        let waker = {
+        let fire = {
             let mut inner = self.inner.borrow_mut();
             match inner.timers.pop() {
-                Some((deadline_ns, waker)) => {
+                Some((deadline_ns, fire)) => {
                     let deadline = SimTime::from_nanos(deadline_ns);
                     debug_assert!(deadline >= inner.now, "timer in the past");
                     inner.now = deadline.max(inner.now);
-                    waker
+                    fire
                 }
                 None => return false,
             }
         };
-        waker.wake();
+        fire.fire();
         true
     }
 
@@ -267,22 +361,40 @@ impl Sim {
                 None => return,
             }
         };
-        task.waker.queued.store(false, Ordering::Release);
+        let Task {
+            mut future,
+            waker,
+            waker_obj,
+        } = task;
+        waker.queued.store(false, Ordering::Relaxed);
 
-        let mut cx = Context::from_waker(&task.waker_obj);
-        let mut future = task.future;
+        let mut cx = Context::from_waker(&waker_obj);
         match future.as_mut().poll(&mut cx) {
             Poll::Ready(()) => {
-                let mut inner = self.inner.borrow_mut();
-                inner.free.push(id);
-                inner.live_tasks -= 1;
+                {
+                    let mut inner = self.inner.borrow_mut();
+                    inner.free.push(FreeSlot { id, waker: None });
+                    inner.live_tasks -= 1;
+                }
+                // The future's destructors may spawn or wake, so it drops
+                // outside the borrow.
+                drop(future);
+                // `waker` and `waker_obj` are the only owners left: lend
+                // the waker to the next task spawned into this slot,
+                // unless the destructors already took the slot.
+                if Arc::strong_count(&waker) == 2 {
+                    let mut inner = self.inner.borrow_mut();
+                    if let Some(slot) = inner.free.last_mut().filter(|s| s.id == id) {
+                        slot.waker = Some((waker, waker_obj));
+                    }
+                }
             }
             Poll::Pending => {
                 let mut inner = self.inner.borrow_mut();
                 inner.tasks[id] = Some(Task {
                     future,
-                    waker: task.waker,
-                    waker_obj: task.waker_obj,
+                    waker,
+                    waker_obj,
                 });
             }
         }
@@ -347,19 +459,28 @@ impl SimHandle {
 
     fn spawn_boxed(&self, wrapped: LocalBoxFuture<()>) {
         let mut inner = self.inner.borrow_mut();
-        let id = match inner.free.pop() {
-            Some(id) => id,
+        let (id, spare) = match inner.free.pop() {
+            Some(slot) => (slot.id, slot.waker),
             None => {
                 inner.tasks.push(None);
-                inner.tasks.len() - 1
+                (inner.tasks.len() - 1, None)
             }
         };
-        let waker = Arc::new(TaskWaker {
-            id,
-            ready: Arc::clone(&self.ready),
-            queued: AtomicBool::new(true),
-        });
-        let waker_obj = Waker::from(Arc::clone(&waker));
+        let (waker, waker_obj) = match spare {
+            Some((waker, waker_obj)) => {
+                waker.queued.store(true, Ordering::Relaxed);
+                (waker, waker_obj)
+            }
+            None => {
+                let waker = Arc::new(TaskWaker {
+                    id,
+                    ready: Arc::clone(&self.ready),
+                    queued: AtomicBool::new(true),
+                });
+                let waker_obj = Waker::from(Arc::clone(&waker));
+                (waker, waker_obj)
+            }
+        };
         inner.tasks[id] = Some(Task {
             future: wrapped,
             waker,
@@ -411,6 +532,24 @@ impl SimHandle {
         .await
     }
 
+    /// Arms a one-shot alarm `d` from now that wakes whatever waker `cell`
+    /// holds when it fires, if any (it takes the waker out, so an empty
+    /// cell afterwards tells the owner the alarm rang). Emptying the cell
+    /// first cancels it: the wheel entry then pops without waking anyone.
+    /// Like [`SimHandle::sleep`], a zero `d` is due at once, so the alarm
+    /// fires here instead of entering the wheel.
+    pub(crate) fn arm_alarm(&self, d: Duration, cell: &Rc<RefCell<Option<Waker>>>) {
+        let fire = Fire::Alarm(Rc::clone(cell));
+        let mut inner = self.inner.borrow_mut();
+        let at = inner.now + d;
+        if at > inner.now {
+            inner.timers.insert(at.as_nanos(), fire);
+        } else {
+            drop(inner);
+            fire.fire();
+        }
+    }
+
     /// Yields once, letting every other runnable task at this instant run.
     pub async fn yield_now(&self) {
         let mut yielded = false;
@@ -457,7 +596,7 @@ impl Future for Sleep {
             // spurious wake and the deadline check above absorbs it.
             inner
                 .timers
-                .insert(self.deadline.as_nanos(), cx.waker().clone());
+                .insert(self.deadline.as_nanos(), Fire::Waker(cx.waker().clone()));
             Poll::Pending
         }
     }
@@ -663,6 +802,86 @@ mod tests {
             Rc::try_unwrap(log).unwrap().into_inner()
         });
         assert_eq!(log, vec!["main-before", "peer", "main-after"]);
+    }
+
+    #[test]
+    fn tasks_spawned_outside_block_on_run_in_spawn_order() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let push = |tag: &'static str| {
+            let log = Rc::clone(&log);
+            async move { log.borrow_mut().push(tag) }
+        };
+        h.spawn_detached(push("a"));
+        h.spawn_detached(push("b"));
+        let (tx, rx) = oneshot::channel::<()>();
+        sim.block_on({
+            let (h, push, log) = (h.clone(), push("root"), Rc::clone(&log));
+            async move {
+                push.await;
+                // Parks on the channel until the next `block_on`.
+                h.spawn_detached(async move {
+                    let _ = rx.await;
+                    log.borrow_mut().push("woken");
+                });
+            }
+        });
+        // Between the two runs: a wake, then a spawn.
+        let _ = tx.send(());
+        h.spawn_detached(push("c"));
+        sim.block_on(push("root2"));
+        assert_eq!(*log.borrow(), ["a", "b", "root", "woken", "c", "root2"]);
+    }
+
+    #[test]
+    fn a_waker_moved_to_another_thread_still_wakes_its_task() {
+        let mut sim = Sim::new(1);
+        let mut sent = false;
+        sim.block_on(std::future::poll_fn(move |cx| {
+            if std::mem::replace(&mut sent, true) {
+                return Poll::Ready(());
+            }
+            let waker = cx.waker().clone();
+            std::thread::scope(|s| {
+                s.spawn(move || waker.wake());
+            });
+            Poll::Pending
+        }));
+    }
+
+    /// The address of the waker the current task is polled with.
+    async fn own_waker_addr() -> usize {
+        std::future::poll_fn(|cx| Poll::Ready(cx.waker().data() as usize)).await
+    }
+
+    #[test]
+    fn a_finished_tasks_waker_passes_to_the_next_task_in_its_slot() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let (first, second) = sim.block_on(async move {
+            let first = h.spawn(own_waker_addr()).await;
+            // Hold many blocks of the waker's size, so that a freed waker
+            // would be handed out here rather than to the next spawn:
+            // equal addresses then mean the waker was kept, not freed.
+            let soak: Vec<Box<[usize; 5]>> = (0..64).map(|_| Box::new([0; 5])).collect();
+            let second = h.spawn(own_waker_addr()).await;
+            drop(soak);
+            (first, second)
+        });
+        assert_eq!(first, second);
+    }
+
+    #[test]
+    fn a_waker_still_held_is_not_lent_to_the_next_task() {
+        let mut sim = Sim::new(1);
+        let h = sim.handle();
+        let (old, new) = sim.block_on(async move {
+            let grab = || std::future::poll_fn(|cx| Poll::Ready(cx.waker().clone()));
+            let old = h.spawn(grab()).await;
+            (old, h.spawn(grab()).await)
+        });
+        assert!(!old.will_wake(&new));
     }
 
     #[test]

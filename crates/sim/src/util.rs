@@ -4,14 +4,15 @@
 //! combinators used by protocol code (`join_all`, quorum-style `first_k`)
 //! live here.
 
-use std::cell::Cell;
-use std::future::Future;
+use std::cell::{Cell, RefCell};
+use std::future::{poll_fn, Future};
 use std::pin::Pin;
-use std::task::{Context, Poll};
+use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use crate::executor::{LocalBoxFuture, SimHandle};
-use crate::sync::mpsc;
+use crate::sync::{mpsc, oneshot};
 use crate::time::SimTime;
 
 /// Deterministic virtual-time rate gate.
@@ -196,29 +197,74 @@ pub async fn first_k<T: 'static>(
 /// task and keeps running detached. Callers racing an RPC must therefore
 /// treat a `None` as *ambiguous* (the request may still take effect) and
 /// lean on request-level idempotence when retrying.
+///
+/// The timeout is no task of its own but an alarm in the executor's
+/// timer wheel, armed right after the racer's first poll for `now + dur`
+/// (with `dur == 0` it rings at that point). The caller's waker sits in a
+/// cell shared by both sides: whichever of the racer's completion and the
+/// alarm comes first takes it out, wakes the caller, and so decides the
+/// race. A racer whose first poll registers a timer for `now + dur`
+/// therefore beats the alarm, and one that reaches that instant through a
+/// later timer loses to it. Dropping the returned future empties the
+/// cell, so the alarm later pops without waking anyone.
 pub async fn deadline<T: 'static>(
     handle: &SimHandle,
     dur: Duration,
     fut: impl Future<Output = T> + 'static,
 ) -> Option<T> {
-    let (tx, mut rx) = mpsc::channel();
-    {
-        let tx = tx.clone();
-        // Both racers report through the channel; no JoinHandle needed.
-        handle.spawn_detached(async move {
-            let _ = tx.send(Some(fut.await));
-        });
-    }
-    {
-        let h = handle.clone();
-        handle.spawn_detached(async move {
-            h.sleep(dur).await;
-            let _ = tx.send(None);
-        });
-    }
-    match rx.recv().await {
-        Some(first) => first,
-        None => unreachable!("deadline: both racers vanished"),
+    let (tx, mut rx) = oneshot::channel();
+    let waiter = Waiter(Rc::new(RefCell::new(None)));
+    let cell = Rc::clone(&waiter.0);
+    let h = handle.clone();
+    handle.spawn_detached(async move {
+        let mut fut = std::pin::pin!(fut);
+        let mut first_poll = true;
+        let out = poll_fn(|cx| {
+            let poll = fut.as_mut().poll(cx);
+            if std::mem::take(&mut first_poll) && poll.is_pending() {
+                h.arm_alarm(dur, &cell);
+            }
+            poll
+        })
+        .await;
+        let won = cell.borrow_mut().take();
+        if let Some(waker) = won {
+            let _ = tx.send(out);
+            waker.wake();
+        }
+    });
+    // The racer runs only after this first poll returns, so it finds the
+    // caller's waker already in the cell.
+    let mut registered = false;
+    poll_fn(|cx| {
+        if !std::mem::replace(&mut registered, true) {
+            *waiter.0.borrow_mut() = Some(cx.waker().clone());
+            return Poll::Pending;
+        }
+        if let Some(out) = rx.try_recv() {
+            return Poll::Ready(Some(out));
+        }
+        match &mut *waiter.0.borrow_mut() {
+            // Undecided: a wake from elsewhere in the caller's task.
+            Some(waker) => {
+                waker.clone_from(cx.waker());
+                Poll::Pending
+            }
+            // The alarm took the waker.
+            None => Poll::Ready(None),
+        }
+    })
+    .await
+}
+
+/// The caller's side of a [`deadline`] race: holds the caller's waker
+/// while the race is undecided, and empties it on drop so neither the
+/// alarm nor the racer wakes a caller that is gone.
+struct Waiter(Rc<RefCell<Option<Waker>>>);
+
+impl Drop for Waiter {
+    fn drop(&mut self) {
+        self.0.borrow_mut().take();
     }
 }
 
@@ -338,6 +384,121 @@ mod tests {
             }
         });
         assert_eq!(out, Some(42));
+    }
+
+    /// Runs `fut` as the root and counts how often the root task is
+    /// polled.
+    fn block_on_counting<T: 'static>(
+        sim: &mut Sim,
+        fut: impl Future<Output = T> + 'static,
+    ) -> (T, u32) {
+        let polls = Rc::new(Cell::new(0));
+        let counter = Rc::clone(&polls);
+        let mut fut = Box::pin(fut);
+        let out = sim.block_on(poll_fn(move |cx| {
+            counter.set(counter.get() + 1);
+            fut.as_mut().poll(cx)
+        }));
+        (out, polls.get())
+    }
+
+    #[test]
+    fn a_won_deadline_leaves_no_task_and_its_alarm_polls_nothing() {
+        let mut sim = Sim::new(0);
+        let h = sim.handle();
+        let out = sim.block_on({
+            let h = h.clone();
+            async move {
+                let before = h.live_tasks();
+                let inner = h.clone();
+                let out = deadline(&h, Duration::from_micros(100), async move {
+                    inner.sleep(Duration::from_micros(10)).await;
+                    7u32
+                })
+                .await;
+                assert_eq!(h.live_tasks(), before, "the racer has ended");
+                out
+            }
+        });
+        assert_eq!(out, Some(7));
+        // Advance past the expiry: the cancelled alarm pops on the way,
+        // but only the root's own two polls happen.
+        let polls = sim.poll_count();
+        sim.block_on({
+            let h = h.clone();
+            async move { h.sleep(Duration::from_micros(200)).await }
+        });
+        assert_eq!(sim.poll_count() - polls, 2);
+    }
+
+    #[test]
+    fn a_tie_at_the_expiry_goes_to_the_earlier_timer() {
+        let mut sim = Sim::new(0);
+        let h = sim.handle();
+        let dur = Duration::from_micros(10);
+        let (first_poll_timer, later_timer) = sim.block_on(async move {
+            // The racer's first poll registers its timer for `now + dur`
+            // before the alarm is armed: the racer wins.
+            let inner = h.clone();
+            let first_poll_timer = deadline(&h, dur, async move {
+                inner.sleep(dur).await;
+                1u32
+            })
+            .await;
+            // The racer reaches `now + dur` through a timer registered
+            // after the alarm: the timeout wins.
+            let inner = h.clone();
+            let later_timer = deadline(&h, dur, async move {
+                inner.sleep(dur / 2).await;
+                inner.sleep(dur / 2).await;
+                2u32
+            })
+            .await;
+            (first_poll_timer, later_timer)
+        });
+        assert_eq!(first_poll_timer, Some(1));
+        assert_eq!(later_timer, None);
+    }
+
+    #[test]
+    fn a_zero_deadline_admits_only_a_first_poll_completion() {
+        let mut sim = Sim::new(0);
+        let h = sim.handle();
+        let (ready, yielded) = sim.block_on(async move {
+            let ready = deadline(&h, Duration::ZERO, async { 1u32 }).await;
+            // The racer wakes itself and completes on its second poll,
+            // which runs before the caller's: still a timeout.
+            let inner = h.clone();
+            let yielded = deadline(&h, Duration::ZERO, async move {
+                inner.yield_now().await;
+                2u32
+            })
+            .await;
+            (ready, yielded)
+        });
+        assert_eq!(ready, Some(1));
+        assert_eq!(yielded, None);
+    }
+
+    #[test]
+    fn a_dropped_deadline_wakes_nobody_later() {
+        let mut sim = Sim::new(0);
+        let h = sim.handle();
+        let (out, polls) = block_on_counting(&mut sim, async move {
+            let inner = h.clone();
+            let raced = deadline(&h, Duration::from_micros(10), async move {
+                inner.sleep(Duration::from_micros(100)).await;
+            });
+            // The shorter timeout drops the pending deadline future at
+            // 5 µs; neither its alarm (10 µs) nor its racer (100 µs) may
+            // wake the root afterwards.
+            let out = h.timeout(Duration::from_micros(5), raced).await;
+            h.sleep(Duration::from_micros(200)).await;
+            out
+        });
+        assert_eq!(out, Err(crate::TimeoutError));
+        // The first poll, the 5 µs timeout, the end of the 200 µs sleep.
+        assert_eq!(polls, 3);
     }
 
     #[test]

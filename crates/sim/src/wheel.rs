@@ -36,7 +36,9 @@
 //! the same slot — so equal deadlines always fire in registration
 //! order without any comparison or sort.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
 use std::task::Waker;
 
 /// Bits per level (64 slots).
@@ -47,10 +49,34 @@ const LEVELS: usize = 6;
 const WHEEL_BITS: u32 = SLOT_BITS * LEVELS as u32;
 const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
 
+/// What a timer does when it fires.
+pub(crate) enum Fire {
+    /// Wake this waker (a [`crate::executor::Sleep`] registration).
+    Waker(Waker),
+    /// Wake whichever waker the cell holds when the timer fires, if any.
+    /// The owner empties the cell to cancel, so a cancelled alarm pops
+    /// as a no-op: it still moves the clock, but wakes nobody.
+    Alarm(Rc<RefCell<Option<Waker>>>),
+}
+
+impl Fire {
+    pub(crate) fn fire(self) {
+        match self {
+            Fire::Waker(w) => w.wake(),
+            Fire::Alarm(cell) => {
+                let waker = cell.borrow_mut().take();
+                if let Some(w) = waker {
+                    w.wake();
+                }
+            }
+        }
+    }
+}
+
 /// One pending timer.
 struct Entry {
     deadline: u64,
-    waker: Waker,
+    fire: Fire,
 }
 
 /// A hierarchical timer wheel firing in deadline order, with ties
@@ -65,7 +91,7 @@ pub(crate) struct TimerWheel {
     occupied: [u64; LEVELS],
     /// Deadlines beyond the wheel's `2^36` ns horizon, keyed by
     /// deadline; each bucket is in registration order.
-    overflow: BTreeMap<u64, VecDeque<Waker>>,
+    overflow: BTreeMap<u64, VecDeque<Fire>>,
     len: usize,
     /// Spare buffer swapped into a slot being cascaded, so steady-state
     /// cascades recycle one allocation instead of freeing and
@@ -90,14 +116,14 @@ impl TimerWheel {
         self.len == 0
     }
 
-    /// Registers a waker to fire at `deadline`. `deadline` must not be
+    /// Registers a timer to fire at `deadline`. `deadline` must not be
     /// in the past (the executor never moves `now` above the anchor).
-    pub(crate) fn insert(&mut self, deadline: u64, waker: Waker) {
+    pub(crate) fn insert(&mut self, deadline: u64, fire: Fire) {
         debug_assert!(deadline >= self.anchor, "timer registered in the past");
         if (deadline ^ self.anchor) >> WHEEL_BITS != 0 {
-            self.overflow.entry(deadline).or_default().push_back(waker);
+            self.overflow.entry(deadline).or_default().push_back(fire);
         } else {
-            self.file(Entry { deadline, waker });
+            self.file(Entry { deadline, fire });
         }
         self.len += 1;
     }
@@ -117,7 +143,7 @@ impl TimerWheel {
 
     /// Removes and returns the earliest pending timer (registration
     /// order among equals), advancing the anchor to its deadline.
-    pub(crate) fn pop(&mut self) -> Option<(u64, Waker)> {
+    pub(crate) fn pop(&mut self) -> Option<(u64, Fire)> {
         if self.len == 0 {
             return None;
         }
@@ -142,8 +168,8 @@ impl TimerWheel {
                     break;
                 }
                 let bucket = self.overflow.remove(&k).expect("checked first key");
-                for waker in bucket {
-                    self.file(Entry { deadline: k, waker });
+                for fire in bucket {
+                    self.file(Entry { deadline: k, fire });
                 }
             }
 
@@ -161,7 +187,7 @@ impl TimerWheel {
                 }
                 self.anchor = e.deadline;
                 self.len -= 1;
-                return Some((e.deadline, e.waker));
+                return Some((e.deadline, e.fire));
             }
             // Cascade: advance the anchor to the slot's window base and
             // re-file its entries one or more levels down.
@@ -190,8 +216,8 @@ mod tests {
         fn wake(self: Arc<Self>) {}
     }
 
-    fn noop() -> Waker {
-        Waker::from(Arc::new(Noop))
+    fn noop() -> Fire {
+        Fire::Waker(Waker::from(Arc::new(Noop)))
     }
 
     /// A waker that records its id when woken, so tests can observe
@@ -206,11 +232,15 @@ mod tests {
         }
     }
 
-    fn rec(id: u64, log: &Arc<Mutex<Vec<u64>>>) -> Waker {
+    fn rec_waker(id: u64, log: &Arc<Mutex<Vec<u64>>>) -> Waker {
         Waker::from(Arc::new(Rec {
             id,
             log: Arc::clone(log),
         }))
+    }
+
+    fn rec(id: u64, log: &Arc<Mutex<Vec<u64>>>) -> Fire {
+        Fire::Waker(rec_waker(id, log))
     }
 
     /// Pops everything, waking each timer; returns the deadlines in
@@ -219,7 +249,7 @@ mod tests {
         let mut deadlines = Vec::new();
         while let Some((d, w)) = wheel.pop() {
             deadlines.push(d);
-            w.wake();
+            w.fire();
         }
         deadlines
     }
@@ -302,12 +332,29 @@ mod tests {
         w.insert(5, rec(1, &log));
         let (dl, wk) = w.pop().expect("nearest timer");
         assert_eq!(dl, 5);
-        wk.wake();
+        wk.fire();
         // Anchor (5) is still below `d`'s horizon window, so this
         // second registration also lands in overflow, behind the first.
         w.insert(d, rec(2, &log));
         assert_eq!(drain(&mut w), vec![d, d]);
         assert_eq!(*log.lock().unwrap(), vec![1, 0, 2]);
+    }
+
+    #[test]
+    fn alarms_fire_in_line_and_cancelled_ones_wake_nobody() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut w = TimerWheel::new();
+        let armed = Rc::new(RefCell::new(Some(rec_waker(1, &log))));
+        let cancelled = Rc::new(RefCell::new(Some(rec_waker(2, &log))));
+        w.insert(100, rec(0, &log));
+        w.insert(100, Fire::Alarm(Rc::clone(&armed)));
+        w.insert(100, Fire::Alarm(Rc::clone(&cancelled)));
+        w.insert(100, rec(3, &log));
+        cancelled.borrow_mut().take();
+        assert_eq!(drain(&mut w), vec![100; 4]);
+        assert_eq!(*log.lock().unwrap(), vec![0, 1, 3]);
+        // Firing takes the waker, so the owner can tell the alarm rang.
+        assert!(armed.borrow().is_none());
     }
 
     #[test]

@@ -1105,7 +1105,7 @@ async fn anti_entropy_round(inner: &Rc<Inner>) {
 
     for (id, peer_tag) in entries {
         // Only track objects this node replicates.
-        if !inner.placement.replicas(id).contains(&inner.node) {
+        if !inner.placement.is_replica(id, inner.node) {
             continue;
         }
         let local_tag = inner.engine.borrow().tag_of(id);

@@ -535,12 +535,15 @@ fn obs_scenarios_fingerprint_identically_per_seed() {
 }
 
 /// Golden fingerprints: pure mechanism swaps (scheduler, codec,
-/// buffering) must not move the simulation by a single poll, byte, or
-/// RNG draw, so these constants pin the whole schedule. They are
+/// buffering) must not move the simulation by a single message, byte,
+/// or RNG draw, so these constants pin the whole schedule. They are
 /// re-captured only when a PR *deliberately* changes the modeled
 /// behavior — most recently the sharding PR, whose ring placement,
 /// per-attempt expiry wire field, and per-node IO gate all reshape the
-/// schedule on purpose. Any other drift is a bug.
+/// schedule on purpose. Executor polls are a cost, not an event: a
+/// change that removes polls re-captures exactly the poll fields
+/// (`GOLDEN_MIXED.1`, `GOLDEN_AUTOSCALED.1`) and states the delta. Any
+/// other drift is a bug.
 #[test]
 fn fingerprints_match_the_golden_values() {
     use pcsi_chaos::{run_scenario, FaultPlan, ScenarioConfig};
@@ -616,9 +619,16 @@ fn fingerprints_match_the_golden_values() {
 /// Captured on the tree that introduced consistent-hash sharding. The
 /// mixed-workload golden survived the autoscaler PR untouched — the
 /// predictive warm-pool machinery is fully inert unless enabled.
+///
+/// Field 1 (`messages ^ polls`) was re-captured from 62339 to 57594 when
+/// `util::deadline` stopped spawning a sleeper task per call: each call
+/// now costs two polls fewer, because the timeout is a timer-wheel
+/// alarm that wakes the caller directly. Polls fell from 53553 to
+/// 49736; the fabric message count is 8882 before and after, and every
+/// other field is unchanged.
 const GOLDEN_MIXED: (u64, u64, u64, u64, u64, &str) = (
     3043445277,
-    62339,
+    57594,
     454768,
     620,
     247463936,
@@ -632,9 +642,11 @@ const GOLDEN_MIXED: (u64, u64, u64, u64, u64, &str) = (
 // moved — only the snapshot text.
 /// Captured on the autoscaler PR: a diurnal workload over the
 /// Scavenge policy with prediction, preemption and work stealing on.
+/// Field 1 (polls) was re-captured from 23828 to 22918 for the same
+/// reason as `GOLDEN_MIXED.1`: no sleeper task per `deadline` call.
 const GOLDEN_AUTOSCALED: (u64, u64, u64, u64, &str) = (
     4001897051,
-    23828,
+    22918,
     462,
     251658240,
     "cold 48 prewarm 3 preempt 0 steal 5 fail 0",
